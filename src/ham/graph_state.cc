@@ -115,13 +115,22 @@ std::vector<NodeIndex> IntersectPostings(
   return out;
 }
 
+// A txn overlay chain, oldest first, so newer records shadow older.
+std::vector<const GraphState::TxnOverlay*> OverlayChain(
+    const GraphState::TxnOverlay* txn) {
+  std::vector<const GraphState::TxnOverlay*> chain;
+  for (; txn != nullptr; txn = txn->parent) chain.push_back(txn);
+  std::reverse(chain.begin(), chain.end());
+  return chain;
+}
+
 }  // namespace
 
 // ------------------------------------------------------------- lookup
 
 const NodeRecord* GraphState::FindNode(ThreadId thread, const TxnOverlay* txn,
                                        NodeIndex index) const {
-  if (txn != nullptr) {
+  for (; txn != nullptr; txn = txn->parent) {
     auto it = txn->records.nodes.find(index);
     if (it != txn->records.nodes.end()) return &it->second;
   }
@@ -138,7 +147,7 @@ const NodeRecord* GraphState::FindNode(ThreadId thread, const TxnOverlay* txn,
 
 const LinkRecord* GraphState::FindLink(ThreadId thread, const TxnOverlay* txn,
                                        LinkIndex index) const {
-  if (txn != nullptr) {
+  for (; txn != nullptr; txn = txn->parent) {
     auto it = txn->records.links.find(index);
     if (it != txn->records.links.end()) return &it->second;
   }
@@ -154,8 +163,8 @@ const LinkRecord* GraphState::FindLink(ThreadId thread, const TxnOverlay* txn,
 }
 
 const DemonHistory& GraphState::GraphDemons(const TxnOverlay* txn) const {
-  if (txn != nullptr && txn->graph_demons.has_value()) {
-    return *txn->graph_demons;
+  for (; txn != nullptr; txn = txn->parent) {
+    if (txn->graph_demons.has_value()) return *txn->graph_demons;
   }
   return graph_demons_;
 }
@@ -173,8 +182,8 @@ void GraphState::ForEachNode(
       }
     }
   }
-  if (txn != nullptr) {
-    for (const auto& [index, record] : txn->records.nodes) {
+  for (const TxnOverlay* level : OverlayChain(txn)) {
+    for (const auto& [index, record] : level->records.nodes) {
       merged[index] = &record;
     }
   }
@@ -197,8 +206,8 @@ void GraphState::ForEachLink(
       }
     }
   }
-  if (txn != nullptr) {
-    for (const auto& [index, record] : txn->records.links) {
+  for (const TxnOverlay* level : OverlayChain(txn)) {
+    for (const auto& [index, record] : level->records.links) {
       merged[index] = &record;
     }
   }
@@ -224,7 +233,7 @@ Result<NodeRecord*> GraphState::MutableNode(ThreadId thread, TxnOverlay* txn,
   // Copy-on-write from the level below.
   const NodeRecord* below = nullptr;
   if (txn != nullptr) {
-    below = FindNode(thread, nullptr, index);
+    below = FindNode(thread, txn->parent, index);
   } else if (thread != kMainThread) {
     auto bit = base_.nodes.find(index);
     below = bit == base_.nodes.end() ? nullptr : &bit->second;
@@ -245,7 +254,7 @@ Result<LinkRecord*> GraphState::MutableLink(ThreadId thread, TxnOverlay* txn,
   if (it != level.links.end()) return &it->second;
   const LinkRecord* below = nullptr;
   if (txn != nullptr) {
-    below = FindLink(thread, nullptr, index);
+    below = FindLink(thread, txn->parent, index);
   } else if (thread != kMainThread) {
     auto bit = base_.links.find(index);
     below = bit == base_.links.end() ? nullptr : &bit->second;
@@ -371,7 +380,7 @@ Status GraphState::Apply(const Op& op, TxnOverlay* txn) {
     case OpKind::kSetGraphDemon: {
       if (txn != nullptr) {
         if (!txn->graph_demons.has_value()) {
-          txn->graph_demons = graph_demons_;
+          txn->graph_demons = GraphDemons(txn->parent);
         }
         txn->graph_demons->Set(op.event, op.time, op.value);
       } else {

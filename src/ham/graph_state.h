@@ -14,7 +14,10 @@
 // Reads resolve txn -> thread -> base; a record found at a higher
 // level shadows the lower ones. This gives transactions
 // read-your-own-writes and makes abort O(1) ("complete recovery from
-// any aborted transaction").
+// any aborted transaction"). A txn overlay may chain to a `parent`:
+// the overlay of a commit that is logged but not yet durable (group
+// commit, see ham.h). Reads through the txn look through the chain;
+// reads without one see only folded state.
 //
 // Determinism. Apply(op) is the single mutation entry point. Live
 // execution builds an Op (with engine-assigned ids and timestamps),
@@ -68,6 +71,10 @@ class GraphState {
 
   // An open transaction's staged changes.
   struct TxnOverlay {
+    // The overlay of the newest not-yet-folded commit of the same
+    // thread, or null. Not owned; the engine clears it when that
+    // commit is folded into this state.
+    const TxnOverlay* parent = nullptr;
     RecordSet records;
     std::optional<DemonHistory> graph_demons;  // copy-on-write
     // Attribute-index deltas for the staged changes, transferred to
@@ -87,7 +94,8 @@ class GraphState {
 
   // ------------------------------------------------------------ reads
 
-  // Record lookup through txn -> thread -> base (txn may be null).
+  // Record lookup through txn (and its parents) -> thread -> base (txn
+  // may be null).
   const NodeRecord* FindNode(ThreadId thread, const TxnOverlay* txn,
                              NodeIndex index) const;
   const LinkRecord* FindLink(ThreadId thread, const TxnOverlay* txn,

@@ -19,6 +19,11 @@ namespace {
 
 constexpr char kMetaMagic[] = "NEPMETA1";  // 8 bytes
 
+// Session::aborted_by reasons.
+constexpr char kLeaseExpiry[] = "lease expiry";
+constexpr char kDroppedParent[] =
+    "a failed fsync of the pending commit it read from";
+
 // First whitespace-delimited word of a demon value — the registry key.
 std::string DemonCallbackName(const std::string& demon) {
   size_t end = demon.find(' ');
@@ -232,11 +237,10 @@ void Ham::SweepExpiredLeases(uint64_t lease_us) {
       span.Annotate("session=" + std::to_string(session->id) + " lease_ms=" +
                     std::to_string(options_.txn_lease_ms));
     }
-    session->overlay = GraphState::TxnOverlay();
     session->ops.clear();
     session->in_txn.store(false, std::memory_order_relaxed);
-    session->lease_aborted = true;
-    ReleaseWriter(session->graph.get(), session->id);
+    session->aborted_by = kLeaseExpiry;
+    ReleaseWriter(session->graph.get(), session.get());
     NEPTUNE_METRIC_COUNT("ham.txn.aborted_by_lease", 1);
     NEPTUNE_METRIC_COUNT("ham.txn.aborted", 1);
     NEPTUNE_LOG(Warn) << "event=lease_expired session=" << session->id
@@ -441,10 +445,9 @@ Status Ham::CloseGraph(Context ctx) {
   std::lock_guard<std::recursive_mutex> op_lock(session->op_mu);
   if (session->in_txn) {
     // Abort: staged state evaporates; free the writer slot.
-    session->overlay = GraphState::TxnOverlay();
     session->ops.clear();
     session->in_txn = false;
-    ReleaseWriter(session->graph.get(), ctx.session);
+    ReleaseWriter(session->graph.get(), session.get());
   }
   return Status::OK();
 }
@@ -467,7 +470,7 @@ Result<Ham::LockedSession> Ham::FindSession(Context ctx) {
 
 // ----------------------------------------------------------- writer slot
 
-void Ham::AcquireWriter(GraphHandle* graph, uint64_t session) {
+void Ham::AcquireWriter(GraphHandle* graph, Session* session) {
   std::unique_lock<std::shared_mutex> lock(graph->mu, std::defer_lock);
   {
     // The writer-slot wait is where a contended graph spends its time;
@@ -476,15 +479,139 @@ void Ham::AcquireWriter(GraphHandle* graph, uint64_t session) {
     lock.lock();
     graph->writer_cv.wait(lock, [&] { return graph->writer_session == 0; });
   }
-  graph->writer_session = session;
+  graph->writer_session = session->id;
+  ResolvePendingLocked(graph);
+  session->overlay = GraphState::TxnOverlay();
+  session->overlay.parent = PendingParentLocked(graph, session->thread);
+  graph->writer_overlay = &session->overlay;
 }
 
-void Ham::ReleaseWriter(GraphHandle* graph, uint64_t session) {
+void Ham::ReleaseWriter(GraphHandle* graph, Session* session) {
   {
     std::lock_guard<std::shared_mutex> lock(graph->mu);
-    if (graph->writer_session == session) graph->writer_session = 0;
+    ReleaseWriterLocked(graph, session);
   }
   graph->writer_cv.notify_all();
+}
+
+void Ham::ReleaseWriterLocked(GraphHandle* graph, Session* session) {
+  session->overlay = GraphState::TxnOverlay();
+  if (graph->writer_session == session->id) {
+    graph->writer_session = 0;
+    graph->writer_overlay = nullptr;
+  }
+}
+
+bool Ham::WriterSlotLostLocked(GraphHandle* graph, Session* session) {
+  if (!session->in_txn || graph->writer_session == session->id) return false;
+  session->overlay = GraphState::TxnOverlay();
+  session->ops.clear();
+  session->in_txn = false;
+  session->aborted_by = kDroppedParent;
+  NEPTUNE_METRIC_COUNT("ham.txn.aborted", 1);
+  return true;
+}
+
+// ------------------------------------------------------------ group commit
+
+const GraphState::TxnOverlay* Ham::PendingParentLocked(GraphHandle* graph,
+                                                       ThreadId thread) {
+  if (!graph->pending.empty() && graph->pending.back()->thread != thread) {
+    // Another thread's commit would fold into the records this overlay
+    // copies from; let it land first so the WAL order holds.
+    DrainPendingLocked(graph);
+  }
+  return graph->pending.empty() ? nullptr : &graph->pending.back()->overlay;
+}
+
+void Ham::FoldLocked(GraphHandle* graph, PendingCommit* commit) {
+  graph->state.CommitOverlay(commit->thread, std::move(commit->overlay));
+  commit->overlay = GraphState::TxnOverlay();
+  // Fold demon mutations into the dispatch index while we still hold
+  // the exclusive lock, so dispatch after release sees them.
+  for (const Op& op : commit->ops) {
+    graph->demon_index.ApplyCommitted(op);
+  }
+  commit->resolved = true;
+}
+
+void Ham::ResolvePendingLocked(GraphHandle* graph) {
+  if (graph->pending.empty()) return;
+  // One reading: a durable offset from one fsync paired with another's
+  // failure would drop durable commits.
+  const DurableStore::SyncState sync = graph->store->sync_state();
+  bool folded = false;
+  while (!graph->pending.empty() &&
+         graph->pending.front()->lsn <= sync.durable_lsn) {
+    FoldLocked(graph, graph->pending.front().get());
+    graph->pending.pop_front();
+    // Whatever chained to the folded overlay now reads it from state.
+    if (!graph->pending.empty()) {
+      graph->pending.front()->overlay.parent = nullptr;
+    } else if (graph->writer_overlay != nullptr) {
+      graph->writer_overlay->parent = nullptr;
+    }
+    folded = true;
+  }
+  if (!graph->pending.empty() && !sync.failure.ok()) {
+    // The fsync failed: every record past the durable offset is lost
+    // and the store will truncate it away. Drop those commits unfolded,
+    // exactly as a failed append aborts one, and abort the slot holder
+    // if its overlay read from them. The store cannot have been repaired
+    // since the failure: the repairing append would carry the newest
+    // pending LSN, which is not durable, and be refused.
+    for (const std::shared_ptr<PendingCommit>& commit : graph->pending) {
+      commit->overlay = GraphState::TxnOverlay();
+      commit->resolved = true;
+      commit->status = sync.failure;
+    }
+    graph->pending.clear();
+    if (graph->writer_overlay != nullptr &&
+        graph->writer_overlay->parent != nullptr) {
+      *graph->writer_overlay = GraphState::TxnOverlay();
+      graph->writer_overlay = nullptr;
+      graph->writer_session = 0;
+      graph->writer_cv.notify_all();
+    }
+  }
+  // Wake any follower long-polling in ReplFetch for these bytes.
+  if (folded) NotifyReplWaiters(graph);
+}
+
+void Ham::DrainPendingLocked(GraphHandle* graph) {
+  if (graph->pending.empty()) return;
+  // The outcome is read from each commit, not from the sync status.
+  (void)graph->store->SyncTo(graph->pending.back()->lsn);
+  ResolvePendingLocked(graph);
+}
+
+void Ham::MaybeCheckpointLocked(GraphHandle* graph) {
+  if (graph->store->wal_bytes() <= options_.checkpoint_wal_bytes) return;
+  DrainPendingLocked(graph);
+  std::string snapshot;
+  graph->state.EncodeTo(&snapshot);
+  Status checkpoint_status = graph->store->Checkpoint(snapshot);
+  if (!checkpoint_status.ok()) {
+    NEPTUNE_LOG(Warn) << "event=auto_checkpoint_failed code="
+                      << StatusCodeToString(checkpoint_status.code())
+                      << " detail=\"" << checkpoint_status.message() << "\"";
+    return;
+  }
+  // The epoch changed; long-polling followers must re-read it.
+  NotifyReplWaiters(graph);
+}
+
+Status Ham::AwaitDurable(GraphHandle* graph, PendingCommit* commit) {
+  for (;;) {
+    // The status is advisory: the commit's own resolution decides.
+    (void)graph->store->SyncTo(commit->lsn);
+    std::lock_guard<std::shared_mutex> lock(graph->mu);
+    ResolvePendingLocked(graph);
+    if (commit->resolved) {
+      if (commit->status.ok()) MaybeCheckpointLocked(graph);
+      return commit->status;
+    }
+  }
 }
 
 // ----------------------------------------------------------- transactions
@@ -497,67 +624,90 @@ Status Ham::BeginTransaction(Context ctx) {
   if (session->in_txn) {
     return Status::FailedPrecondition("a transaction is already open");
   }
-  session->lease_aborted = false;  // a fresh transaction gets a fresh lease
-  AcquireWriter(session->graph.get(), ctx.session);
+  session->aborted_by = nullptr;  // a fresh transaction gets a fresh lease
+  AcquireWriter(session->graph.get(), session.get());
   session->in_txn = true;
-  session->overlay = GraphState::TxnOverlay();
   session->ops.clear();
   NEPTUNE_METRIC_COUNT("ham.txn.begun", 1);
   return Status::OK();
 }
 
-Status Ham::CommitLocked(GraphHandle* graph, Session* session) {
-  if (session->ops.empty()) return Status::OK();
+Result<std::shared_ptr<Ham::PendingCommit>> Ham::CommitLocked(
+    GraphHandle* graph, Session* session) {
+  if (session->ops.empty()) {
+    session->overlay = GraphState::TxnOverlay();
+    return std::shared_ptr<PendingCommit>();
+  }
   const std::string record = EncodeTransaction(session->ops);
   NEPTUNE_TRACE_SPAN(span, "ham.txn.commit");
   if (span.active()) {
     span.Annotate("ops=" + std::to_string(session->ops.size()) +
                   " bytes=" + std::to_string(record.size()));
   }
-  Status status = graph->store->AppendRecord(record, options_.sync_commits);
+  // Without sync_commits a record is durable once appended. A merge
+  // writes the base state directly, not through the overlay, so readers
+  // see it at once: it runs behind a drained queue and is fsynced before
+  // the lock is released. Either way its LSN stays 0 and it folds below.
+  const bool deferred = options_.sync_commits &&
+                        session->ops.front().kind != OpKind::kMergeContext;
+  auto commit = std::make_shared<PendingCommit>();
+  Status status;
+  if (deferred) {
+    // The overlay still reads from the newest pending commit, if any.
+    const uint64_t after_lsn =
+        session->overlay.parent != nullptr ? graph->pending.back()->lsn : 0;
+    Result<uint64_t> lsn =
+        graph->store->AppendRecordDeferred(record, after_lsn);
+    status = lsn.status();
+    if (lsn.ok()) commit->lsn = *lsn;
+  } else {
+    status = graph->store->AppendRecord(record, options_.sync_commits);
+  }
   if (!status.ok()) {
-    // The transaction did not become durable; treat as aborted.
+    // The transaction did not become durable; treat as aborted. The
+    // failure (or the one that got this append refused) also lost every
+    // pending commit past the durable offset: drop them now.
     session->overlay = GraphState::TxnOverlay();
     session->ops.clear();
+    ResolvePendingLocked(graph);
     return status;
   }
-  graph->state.CommitOverlay(session->thread, std::move(session->overlay));
+  commit->thread = session->thread;
+  commit->overlay = std::move(session->overlay);
+  commit->ops = std::move(session->ops);
   session->overlay = GraphState::TxnOverlay();
-  // Fold demon mutations into the dispatch index while we still hold
-  // the exclusive lock, so dispatch after release sees them.
-  for (const Op& op : session->ops) {
-    graph->demon_index.ApplyCommitted(op);
+  session->ops.clear();
+  graph->pending.push_back(commit);
+  ResolvePendingLocked(graph);  // folds it now if it is already durable
+  if (commit->resolved) {
+    // Durable already, or lost to a group fsync that failed after the
+    // append.
+    NEPTUNE_RETURN_IF_ERROR(commit->status);
+    MaybeCheckpointLocked(graph);
   }
-  if (graph->store->wal_bytes() > options_.checkpoint_wal_bytes) {
-    std::string snapshot;
-    graph->state.EncodeTo(&snapshot);
-    Status checkpoint_status = graph->store->Checkpoint(snapshot);
-    if (!checkpoint_status.ok()) {
-      NEPTUNE_LOG(Warn) << "event=auto_checkpoint_failed code="
-                        << StatusCodeToString(checkpoint_status.code())
-                        << " detail=\"" << checkpoint_status.message()
-                        << "\"";
-    }
-  }
-  // Wake any follower long-polling in ReplFetch for these bytes.
-  NotifyReplWaiters(graph);
-  return Status::OK();
+  return commit;
 }
 
 Status Ham::CommitTransaction(Context ctx) {
   NEPTUNE_TRACE_SPAN(op_span, "ham.commitTransaction");
   NEPTUNE_METRIC_TIMED(timer, "ham.op.txn");
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
-  if (session->lease_aborted) {
-    session->lease_aborted = false;
-    return Status::Aborted(
-        "transaction was aborted by lease expiry; nothing was committed");
+  if (session->aborted_by != nullptr) {
+    std::string reason = session->aborted_by;
+    session->aborted_by = nullptr;
+    return Status::Aborted("transaction was aborted by " + reason +
+                           "; nothing was committed");
   }
   if (!session->in_txn) {
     return Status::FailedPrecondition("no transaction is open");
   }
   GraphHandle* graph = session->graph.get();
-  std::vector<Op> committed;
+  // The commit this transaction is acked with: its own, or for a
+  // read-only transaction the pending one it read from.
+  std::shared_ptr<PendingCommit> commit;
+  bool own_commit = true;
+  bool slot_lost = false;
+  bool pending = false;  // read under the lock: resolvers write it
   Status status;
   {
     std::unique_lock<std::shared_mutex> lock(graph->mu, std::defer_lock);
@@ -565,19 +715,40 @@ Status Ham::CommitTransaction(Context ctx) {
       NEPTUNE_TRACE_SPAN(lock_span, "ham.lock.exclusive_wait");
       lock.lock();
     }
-    status = CommitLocked(graph, session.get());
-    if (status.ok()) committed = std::move(session->ops);
-    session->ops.clear();
+    // Drops commits lost to a failed fsync, and with them this
+    // transaction if it read from one.
+    ResolvePendingLocked(graph);
+    slot_lost = WriterSlotLostLocked(graph, session.get());
+    if (!slot_lost) {
+      if (session->ops.empty() && session->overlay.parent != nullptr) {
+        commit = graph->pending.back();
+        own_commit = false;
+      }
+      Result<std::shared_ptr<PendingCommit>> appended =
+          CommitLocked(graph, session.get());
+      status = appended.status();
+      if (appended.ok() && *appended != nullptr) commit = *appended;
+      pending = commit != nullptr && !commit->resolved;
+      session->in_txn = false;
+      // Early release: the next writer runs while this commit's fsync
+      // is in flight.
+      ReleaseWriterLocked(graph, session.get());
+    }
   }
-  session->in_txn = false;
-  ReleaseWriter(graph, ctx.session);
+  graph->writer_cv.notify_all();
+  if (slot_lost) {
+    session->aborted_by = nullptr;
+    return Status::Aborted(std::string("transaction was aborted by ") +
+                           kDroppedParent + "; nothing was committed");
+  }
+  if (status.ok() && pending) status = AwaitDurable(graph, commit.get());
   if (status.ok()) {
     NEPTUNE_METRIC_COUNT("ham.txn.committed", 1);
   } else {
     NEPTUNE_METRIC_COUNT("ham.txn.aborted", 1);
   }
-  if (status.ok() && !committed.empty()) {
-    FireDemons(graph, session->thread, committed);
+  if (status.ok() && own_commit && commit != nullptr) {
+    FireDemons(graph, session->thread, commit->ops);
   }
   return status;
 }
@@ -586,30 +757,29 @@ Status Ham::AbortTransaction(Context ctx) {
   NEPTUNE_TRACE_SPAN(op_span, "ham.abortTransaction");
   NEPTUNE_METRIC_TIMED(timer, "ham.op.txn");
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
-  if (session->lease_aborted) {
-    // The watchdog already did the work; the client's abort succeeds.
-    session->lease_aborted = false;
+  if (session->aborted_by != nullptr) {
+    // Already aborted from outside; the client's abort succeeds.
+    session->aborted_by = nullptr;
     return Status::OK();
   }
   if (!session->in_txn) {
     return Status::FailedPrecondition("no transaction is open");
   }
-  session->overlay = GraphState::TxnOverlay();
   session->ops.clear();
   session->in_txn = false;
-  ReleaseWriter(session->graph.get(), ctx.session);
+  ReleaseWriter(session->graph.get(), session.get());
   NEPTUNE_METRIC_COUNT("ham.txn.aborted", 1);
   return Status::OK();
 }
 
 Status Ham::Execute(Session* session, uint64_t session_id, Op* op) {
   NEPTUNE_RETURN_IF_ERROR(RejectIfFollower());
-  if (session->lease_aborted) {
+  if (session->aborted_by != nullptr) {
     // Refuse to silently fold what the client believes is transaction
     // work into an implicit commit; it must abort (or commit, and get
     // told) before continuing.
-    return Status::Aborted(
-        "transaction was aborted by lease expiry; call abortTransaction");
+    return Status::Aborted(std::string("transaction was aborted by ") +
+                           session->aborted_by + "; call abortTransaction");
   }
   GraphHandle* graph = session->graph.get();
   op->thread = session->thread;
@@ -619,14 +789,19 @@ Status Ham::Execute(Session* session, uint64_t session_id, Op* op) {
       NEPTUNE_TRACE_SPAN(lock_span, "ham.lock.exclusive_wait");
       lock.lock();
     }
+    if (WriterSlotLostLocked(graph, session)) {
+      return Status::Aborted(std::string("transaction was aborted by ") +
+                             session->aborted_by + "; call abortTransaction");
+    }
     op->time = graph->state.clock().Tick();
     NEPTUNE_RETURN_IF_ERROR(graph->state.Apply(*op, &session->overlay));
     session->ops.push_back(*op);
     return Status::OK();
   }
-  // Implicit single-op transaction: hold the lock across apply+commit,
+  // Implicit single-op transaction: hold the lock across apply+append,
   // but only once the writer slot is free.
-  std::vector<Op> committed;
+  std::shared_ptr<PendingCommit> commit;
+  bool pending = false;
   {
     std::unique_lock<std::shared_mutex> lock(graph->mu, std::defer_lock);
     {
@@ -635,6 +810,12 @@ Status Ham::Execute(Session* session, uint64_t session_id, Op* op) {
       graph->writer_cv.wait(lock, [&] { return graph->writer_session == 0; });
     }
     (void)session_id;
+    ResolvePendingLocked(graph);
+    // A merge writes the base state directly, not through the overlay,
+    // so pending commits must land first (see CommitLocked).
+    if (op->kind == OpKind::kMergeContext) DrainPendingLocked(graph);
+    session->overlay = GraphState::TxnOverlay();
+    session->overlay.parent = PendingParentLocked(graph, session->thread);
     op->time = graph->state.clock().Tick();
     Status apply_status = graph->state.Apply(*op, &session->overlay);
     if (!apply_status.ok()) {
@@ -644,17 +825,13 @@ Status Ham::Execute(Session* session, uint64_t session_id, Op* op) {
       return apply_status;
     }
     session->ops.push_back(*op);
-    Status status = CommitLocked(graph, session);
-    if (!status.ok()) {
-      session->ops.clear();
-      return status;
-    }
-    committed = std::move(session->ops);
-    session->ops.clear();
+    NEPTUNE_ASSIGN_OR_RETURN(commit, CommitLocked(graph, session));
+    pending = !commit->resolved;
   }
+  if (pending) NEPTUNE_RETURN_IF_ERROR(AwaitDurable(graph, commit.get()));
   NEPTUNE_METRIC_COUNT("ham.txn.implicit", 1);
   NEPTUNE_METRIC_COUNT("ham.txn.committed", 1);
-  FireDemons(graph, session->thread, committed);
+  FireDemons(graph, session->thread, commit->ops);
   return Status::OK();
 }
 

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -42,6 +43,10 @@ struct ReplicaApplyResult {
 struct HamOptions {
   // fsync the WAL on every commit. Turning this off trades the last
   // few commits on power loss for throughput (bench B5 measures both).
+  // On, commits use group commit (see PendingCommit below): the fsync
+  // runs outside the graph lock and the writer slot, concurrent
+  // committers share it, and a commit becomes visible to readers and is
+  // acked only once it is durable.
   bool sync_commits = true;
   // Rewrite the snapshot and rotate the WAL when it exceeds this size.
   uint64_t checkpoint_wal_bytes = 8ull << 20;
@@ -303,6 +308,20 @@ class Ham final : public HamInterface {
   Result<ThreadId> ContextThread(Context ctx) override;
 
  private:
+  // A commit appended to the WAL but not yet known durable (group
+  // commit). Its overlay stays out of GraphState until the fsync that
+  // covers `lsn` returns; then it is folded in WAL order.
+  struct PendingCommit {
+    uint64_t lsn = 0;  // DurableStore LSN of the record
+    ThreadId thread = kMainThread;
+    GraphState::TxnOverlay overlay;
+    std::vector<Op> ops;  // fire the demons once acked
+    // Set under the graph lock when the commit is folded (status OK)
+    // or dropped because its fsync failed (status = the failure).
+    bool resolved = false;
+    Status status;
+  };
+
   // One open graph database shared by all sessions on it.
   struct GraphHandle {
     std::string directory;
@@ -324,6 +343,14 @@ class Ham final : public HamInterface {
     std::condition_variable_any writer_cv;
     uint64_t writer_session = 0;  // session holding the writer slot
     int open_sessions = 0;
+
+    // Group commit, guarded by mu. Commits whose record is in the WAL
+    // but not yet durable, in WAL order; all share one version thread.
+    // The slot holder's overlay chains to the newest of them (its
+    // `parent`), so it reads and checks expected times against the
+    // pending versions while readers see only folded, durable state.
+    std::deque<std::shared_ptr<PendingCommit>> pending;
+    GraphState::TxnOverlay* writer_overlay = nullptr;  // slot holder's
 
     // Replication bookkeeping. repl_mu guards commit_seq and
     // followers; it nests strictly inside mu (taken after, released
@@ -347,9 +374,11 @@ class Ham final : public HamInterface {
   };
 
   // A session created by OpenGraph/OpenContext. Transaction state
-  // (in_txn/overlay/ops/lease_aborted) is guarded by op_mu: normally
-  // only the session's connection thread touches it, but the lease
-  // watchdog may abort an expired transaction from its own thread.
+  // (in_txn/ops/aborted_by) is guarded by op_mu: normally only the
+  // session's connection thread touches it, but the lease watchdog may
+  // abort an expired transaction from its own thread. The overlay is
+  // also guarded by the graph lock (exclusive to write), because a
+  // group-commit fold or drop re-points its parent.
   // op_mu is recursive because some operations call others on the same
   // context (copyLink invokes addLink).
   struct Session {
@@ -361,9 +390,10 @@ class Ham final : public HamInterface {
     std::atomic<bool> in_txn{false};
     GraphState::TxnOverlay overlay;
     std::vector<Op> ops;
-    // Set by the watchdog when it aborts the session's transaction;
-    // tells the session's next commit/abort/mutation what happened.
-    bool lease_aborted = false;
+    // Set when the session's transaction was aborted from outside —
+    // lease expiry, or a failed fsync of a commit it read from; tells
+    // the session's next commit/abort/mutation what happened.
+    const char* aborted_by = nullptr;
     // Lease renewal stamp, updated on operation entry and exit so a
     // long-running op is not mistaken for a silent session. Read
     // against the owning Ham's time source, which `time` caches so
@@ -402,9 +432,15 @@ class Ham final : public HamInterface {
   // Loads or creates the shared handle for a directory.
   Result<std::shared_ptr<GraphHandle>> LoadGraph(const std::string& directory);
 
-  // Acquires/releases the per-graph writer slot for a session.
-  void AcquireWriter(GraphHandle* graph, uint64_t session);
-  void ReleaseWriter(GraphHandle* graph, uint64_t session);
+  // Acquires/releases the per-graph writer slot for a session, resetting
+  // its overlay (on acquire, chained to the newest pending commit).
+  void AcquireWriter(GraphHandle* graph, Session* session);
+  void ReleaseWriter(GraphHandle* graph, Session* session);
+  void ReleaseWriterLocked(GraphHandle* graph, Session* session);
+  // True (after discarding the session's transaction) when the session
+  // is in a transaction but no longer holds the writer slot: a commit
+  // its overlay chained to was dropped. Caller holds graph->mu.
+  static bool WriterSlotLostLocked(GraphHandle* graph, Session* session);
 
   // Stages `*op` in the session's transaction, opening an implicit
   // single-op transaction when none is active. On success the op is
@@ -412,8 +448,37 @@ class Ham final : public HamInterface {
   // and op->time carries the assigned timestamp.
   Status Execute(Session* session, uint64_t session_id, Op* op);
 
-  // Applies the commit protocol: WAL append, fold overlay, demons.
-  Status CommitLocked(GraphHandle* graph, Session* session);
+  // Commit step one, under the exclusive graph lock: appends the
+  // session's ops to the WAL and queues their overlay on graph->pending.
+  // With sync_commits the record's fsync is deferred and the commit
+  // stays pending until a group fsync covers it; otherwise, and for a
+  // merge (fsynced inline), the record is durable once appended and the
+  // commit folds at once.
+  // Returns null for an empty transaction. On failure the transaction
+  // is discarded.
+  Result<std::shared_ptr<PendingCommit>> CommitLocked(GraphHandle* graph,
+                                                      Session* session);
+  // Commit steps two and three, without the graph lock: waits for the
+  // fsync covering `commit` (leading it if none is in flight), then
+  // folds every durable pending commit. Returns the commit's outcome.
+  Status AwaitDurable(GraphHandle* graph, PendingCommit* commit);
+  // Folds pending commits the store reports durable, in WAL order; if
+  // the store is degraded, drops the rest (they were lost with the
+  // failed fsync) and aborts a slot holder chained to them.
+  void ResolvePendingLocked(GraphHandle* graph);
+  // Syncs and resolves every pending commit, leaving the queue empty.
+  // Mutators that write GraphState directly call it first, so the
+  // in-memory apply order stays the WAL order.
+  void DrainPendingLocked(GraphHandle* graph);
+  // The parent for a new overlay on `thread`: the newest pending
+  // commit's overlay. Pending commits of another thread are drained
+  // first.
+  const GraphState::TxnOverlay* PendingParentLocked(GraphHandle* graph,
+                                                    ThreadId thread);
+  // Folds one commit's overlay and demon mutations into the graph.
+  static void FoldLocked(GraphHandle* graph, PendingCommit* commit);
+  // Rotates the WAL once it exceeds checkpoint_wal_bytes.
+  void MaybeCheckpointLocked(GraphHandle* graph);
 
   // Wakes ReplFetch long-pollers after a durable commit or checkpoint.
   static void NotifyReplWaiters(GraphHandle* graph);

@@ -570,7 +570,10 @@ Result<AttributeIndex> Ham::GetAttributeIndex(Context ctx,
   if (existing.ok()) return existing;
   // "If no attribute exists, then creates one." Interning commits
   // immediately as its own transaction (it is append-only and must
-  // survive even if a surrounding transaction aborts).
+  // survive even if a surrounding transaction aborts). It writes the
+  // state directly, so pending commits land first: the in-memory apply
+  // order stays the WAL order.
+  DrainPendingLocked(graph);
   Op op;
   op.kind = OpKind::kInternAttribute;
   op.extra = name;
@@ -843,6 +846,7 @@ Result<ContextInfo> Ham::CreateContext(Context ctx, const std::string& name) {
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
   GraphHandle* graph = session->graph.get();
   std::lock_guard<std::shared_mutex> lock(graph->mu);
+  DrainPendingLocked(graph);
   Op op;
   op.kind = OpKind::kCreateContext;
   op.arg = graph->state.AllocateThreadId();
@@ -918,6 +922,7 @@ Status Ham::Checkpoint(Context ctx) {
   Status status;
   {
     std::lock_guard<std::shared_mutex> lock(graph->mu);
+    DrainPendingLocked(graph);
     std::string snapshot;
     graph->state.EncodeTo(&snapshot);
     status = graph->store->Checkpoint(snapshot);
@@ -978,6 +983,7 @@ Result<uint64_t> Ham::PruneHistory(Context ctx, Time before) {
   GraphHandle* graph = session->graph.get();
   std::unique_lock<std::shared_mutex> lock(graph->mu);
   graph->writer_cv.wait(lock, [&] { return graph->writer_session == 0; });
+  DrainPendingLocked(graph);
   Op op;
   op.kind = OpKind::kPruneHistory;
   op.arg = before;

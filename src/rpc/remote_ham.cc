@@ -853,10 +853,10 @@ bool RemoteHam::FollowerFresh(const std::string& directory) {
   const uint64_t now = time_->NowMicros();
   {
     std::lock_guard<std::mutex> lock(fmu_);
-    if (follower_status_us_ != 0 &&
-        now - follower_status_us_ <
-            options_.follower_status_ttl_ms * 1000) {
-      return follower_fresh_;
+    auto it = follower_freshness_.find(directory);
+    if (it != follower_freshness_.end() &&
+        now - it->second.status_us < options_.follower_status_ttl_ms * 1000) {
+      return it->second.fresh;
     }
   }
   Result<ham::ReplNodeStatus> status = follower_->ReplStatus(directory);
@@ -866,8 +866,7 @@ bool RemoteHam::FollowerFresh(const std::string& directory) {
       status->behind_ms <= options_.follower_max_behind_ms;
   if (!fresh) NEPTUNE_METRIC_COUNT("repl.client.stale_follower", 1);
   std::lock_guard<std::mutex> lock(fmu_);
-  follower_status_us_ = now;
-  follower_fresh_ = fresh;
+  follower_freshness_[directory] = FollowerFreshness{now, fresh};
   return fresh;
 }
 

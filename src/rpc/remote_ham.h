@@ -430,8 +430,13 @@ class RemoteHam final : public ham::HamInterface {
   };
   std::mutex fmu_;
   std::unordered_map<uint64_t, FollowerSession> follower_sessions_;
-  uint64_t follower_status_us_ = 0;  // last staleness probe (0 = never)
-  bool follower_fresh_ = false;
+  // Last staleness probe per follower directory: each graph replicates
+  // (and lags) on its own.
+  struct FollowerFreshness {
+    uint64_t status_us = 0;
+    bool fresh = false;
+  };
+  std::unordered_map<std::string, FollowerFreshness> follower_freshness_;
 };
 
 }  // namespace rpc

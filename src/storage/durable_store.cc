@@ -128,6 +128,12 @@ std::string RecoveryReport::ToJson() const {
 }
 
 DurableStore::~DurableStore() {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (degraded_) {
+    // Best effort: cut the failed writes away now, so a clean restart
+    // does not replay commits their clients were told had failed.
+    (void)RepairWal(lock);
+  }
   if (wal_ != nullptr) wal_->Close();
 }
 
@@ -380,10 +386,44 @@ Status DurableStore::Destroy(Env* env, const std::string& dir) {
   return env->RemoveDirRecursive(dir);
 }
 
-Status DurableStore::AppendCommon(uint64_t framed_size,
-                                  const std::function<Status()>& append) {
+uint64_t DurableStore::wal_bytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return wal_bytes_;
+}
+
+bool DurableStore::degraded() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return degraded_;
+}
+
+DurableStore::SyncState DurableStore::sync_state() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return SyncState{durable_lsn_, failure_};
+}
+
+void DurableStore::EnterDegradedLocked(const Status& failure) {
+  // The failed append or fsync may have left half-written or unsynced
+  // bytes past the last durable record; stop trusting the writer until
+  // a repair truncates back to wal_bytes_. Every record past it is lost.
+  degraded_ = true;
+  failure_ = failure;
+  NEPTUNE_METRIC_COUNT("wal.recovery.degraded_entered", 1);
+}
+
+Result<uint64_t> DurableStore::AppendCommon(
+    uint64_t framed_size, bool durable, uint64_t after_lsn,
+    const std::function<Status()>& append) {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (degraded_ && after_lsn > durable_lsn_) {
+    // The failure lost the record this one builds on; a repair now
+    // would let this one survive without it.
+    NEPTUNE_METRIC_COUNT("storage.wal.orphan_rejects", 1);
+    return Status::Aborted(
+        "the record this one builds on was lost to a failed write (" +
+        failure_.ToString() + ")");
+  }
   if (degraded_) {
-    Status repaired = RepairWal();
+    Status repaired = RepairWal(lock);
     if (!repaired.ok()) {
       NEPTUNE_METRIC_COUNT("storage.wal.readonly_rejects", 1);
       return Status::ReadOnly("WAL unwritable, store is read-only (" +
@@ -392,17 +432,18 @@ Status DurableStore::AppendCommon(uint64_t framed_size,
   }
   Status status = append();
   if (!status.ok()) {
-    // The failed commit may have left half-written or unsynced bytes
-    // past the last good record; stop trusting the writer until a
-    // repair truncates back to wal_bytes_. The caller still sees the
-    // original failure, not kReadOnly — only *later* commits do, and
-    // only if the repair keeps failing too.
-    degraded_ = true;
-    NEPTUNE_METRIC_COUNT("wal.recovery.degraded_entered", 1);
+    // The caller sees the original failure, not kReadOnly — only
+    // *later* commits do, and only if the repair keeps failing too.
+    EnterDegradedLocked(status);
     return status;
   }
-  wal_bytes_ += framed_size;
-  return status;
+  appended_bytes_ += framed_size;
+  appended_lsn_ += framed_size;
+  if (durable) {
+    wal_bytes_ = appended_bytes_;
+    durable_lsn_ = appended_lsn_;
+  }
+  return appended_lsn_;
 }
 
 Status DurableStore::AppendRecord(std::string_view record, bool sync) {
@@ -411,8 +452,22 @@ Status DurableStore::AppendRecord(std::string_view record, bool sync) {
     span.Annotate("bytes=" + std::to_string(record.size()) +
                   (sync ? " sync=1" : " sync=0"));
   }
-  return AppendCommon(8 + record.size(),
-                      [&] { return wal_->AddRecord(record, sync); });
+  NEPTUNE_ASSIGN_OR_RETURN(
+      uint64_t lsn,
+      AppendCommon(8 + record.size(), /*durable=*/!sync, /*after_lsn=*/0,
+                   [&] { return wal_->AddRecord(record, /*sync=*/false); }));
+  return sync ? SyncTo(lsn) : Status::OK();
+}
+
+Result<uint64_t> DurableStore::AppendRecordDeferred(std::string_view record,
+                                                    uint64_t after_lsn) {
+  NEPTUNE_TRACE_SPAN(span, "storage.wal.append");
+  if (span.active()) {
+    span.Annotate("bytes=" + std::to_string(record.size()) + " sync=deferred");
+  }
+  return AppendCommon(8 + record.size(), /*durable=*/false, after_lsn, [&] {
+    return wal_->AddRecord(record, /*sync=*/false);
+  });
 }
 
 Status DurableStore::AppendRawFrames(std::string_view frames, bool sync) {
@@ -421,8 +476,50 @@ Status DurableStore::AppendRawFrames(std::string_view frames, bool sync) {
     span.Annotate("bytes=" + std::to_string(frames.size()) +
                   (sync ? " sync=1" : " sync=0"));
   }
-  return AppendCommon(frames.size(),
-                      [&] { return wal_->AddRawFrames(frames, sync); });
+  NEPTUNE_ASSIGN_OR_RETURN(
+      uint64_t lsn,
+      AppendCommon(frames.size(), /*durable=*/!sync, /*after_lsn=*/0,
+                   [&] { return wal_->AddRawFrames(frames, /*sync=*/false); }));
+  return sync ? SyncTo(lsn) : Status::OK();
+}
+
+Status DurableStore::SyncTo(uint64_t lsn) {
+  NEPTUNE_TRACE_SPAN(span, "storage.wal.sync_wait");
+  std::unique_lock<std::mutex> lock(mu_);
+  bool led = false;
+  Status status;
+  for (;;) {
+    if (lsn <= durable_lsn_) break;
+    if (sync_in_flight_) {
+      // Another committer's fsync is running; it may cover us.
+      sync_cv_.wait(lock);
+      continue;
+    }
+    if (degraded_) {
+      status = failure_;
+      break;
+    }
+    // Lead a group: fsync everything appended so far. Appends continue
+    // meanwhile; they belong to the next group.
+    led = true;
+    sync_in_flight_ = true;
+    const uint64_t target_lsn = appended_lsn_;
+    const uint64_t target_bytes = appended_bytes_;
+    LogWriter* wal = wal_.get();
+    lock.unlock();
+    Status synced = wal->Sync();
+    lock.lock();
+    sync_in_flight_ = false;
+    if (synced.ok()) {
+      durable_lsn_ = std::max(durable_lsn_, target_lsn);
+      wal_bytes_ = std::max(wal_bytes_, target_bytes);
+    } else {
+      EnterDegradedLocked(synced);
+    }
+    sync_cv_.notify_all();
+  }
+  if (span.active()) span.Annotate(led ? "leader=1" : "leader=0");
+  return status;
 }
 
 Result<WalChunk> DurableStore::ReadWalRange(uint64_t epoch, uint64_t offset,
@@ -434,9 +531,9 @@ Result<WalChunk> DurableStore::ReadWalRange(uint64_t epoch, uint64_t offset,
   const std::string wal_path = JoinPath(dir_, WalName(epoch));
   WalChunk chunk;
   if (epoch == epoch_) {
-    // Only bytes below wal_bytes_ are committed; a failed append may
-    // have left garbage past it that must never ship.
-    chunk.epoch_bytes = wal_bytes_;
+    // Only bytes below wal_bytes_ are durable; a pending group's or a
+    // failed append's bytes past it must never ship.
+    chunk.epoch_bytes = wal_bytes();
     chunk.epoch_complete = false;
   } else {
     if (!env_->FileExists(wal_path)) {
@@ -474,7 +571,8 @@ Status DurableStore::SetReplRole(const ReplRole& role) {
   return Status::OK();
 }
 
-Status DurableStore::RepairWal() {
+Status DurableStore::RepairWal(std::unique_lock<std::mutex>& lock) {
+  sync_cv_.wait(lock, [&] { return !sync_in_flight_; });
   if (wal_ != nullptr) {
     wal_->Close();  // Best effort: the handle is already suspect.
     wal_ = nullptr;
@@ -489,7 +587,9 @@ Status DurableStore::RepairWal() {
   NEPTUNE_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> wal_file,
                            env_->NewWritableFile(wal_path, /*truncate=*/false));
   wal_ = std::make_unique<LogWriter>(std::move(wal_file));
+  appended_bytes_ = wal_bytes_;
   degraded_ = false;
+  failure_ = Status::OK();
   NEPTUNE_METRIC_COUNT("wal.recovery.repaired", 1);
   NEPTUNE_LOG(Warn) << "event=wal_repaired path=" << wal_path
                     << " truncated_to_bytes=" << wal_bytes_;
@@ -503,6 +603,8 @@ Status DurableStore::Checkpoint(std::string_view snapshot) {
   }
   NEPTUNE_METRIC_TIMED(timer, "storage.checkpoint");
   NEPTUNE_METRIC_COUNT("storage.checkpoint.bytes", snapshot.size());
+  std::unique_lock<std::mutex> lock(mu_);
+  sync_cv_.wait(lock, [&] { return !sync_in_flight_; });
   const uint64_t next = epoch_ + 1;
   const std::string next_snap = JoinPath(dir_, SnapName(next));
   const std::string next_wal = JoinPath(dir_, WalName(next));
@@ -528,6 +630,7 @@ Status DurableStore::Checkpoint(std::string_view snapshot) {
   if (wal_ != nullptr) wal_->Close();
   wal_ = std::make_unique<LogWriter>(*std::move(wal_file));
   degraded_ = false;  // A fresh, empty WAL is trustworthy again.
+  failure_ = Status::OK();
   // Best-effort removal of the superseded generation. The last
   // keep_wal_generations_ WALs are retained so followers can tail
   // across the checkpoint instead of re-snapshotting.
@@ -539,6 +642,7 @@ Status DurableStore::Checkpoint(std::string_view snapshot) {
   }
   epoch_ = next;
   wal_bytes_ = 0;
+  appended_bytes_ = 0;
   return Status::OK();
 }
 

@@ -10,18 +10,23 @@
 //   WAL-<epoch>    redo records committed after that checkpoint
 //
 // Commit path: serialize the transaction, AppendRecord() (optionally
-// fsync), then apply in memory. Recovery: load SNAP, replay WAL; a
-// torn WAL tail (crash mid-commit) is detected by CRC and truncated,
-// which is precisely "complete recovery from any aborted transaction".
+// fsync), then apply in memory. Group commit splits the append from the
+// fsync: AppendRecordDeferred() returns the record's LSN and SyncTo()
+// lets concurrent committers share one fsync. Recovery: load SNAP,
+// replay WAL; a torn WAL tail (crash mid-commit) is detected by CRC and
+// truncated, which is precisely "complete recovery from any aborted
+// transaction".
 // Checkpoint(): write SNAP-<epoch+1> + empty WAL, flip CURRENT, delete
 // the old generation.
 
 #ifndef NEPTUNE_STORAGE_DURABLE_STORE_H_
 #define NEPTUNE_STORAGE_DURABLE_STORE_H_
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -139,6 +144,35 @@ class DurableStore {
   // succeeds.
   Status AppendRecord(std::string_view record, bool sync);
 
+  // Group commit, step one: appends a record without fsync and returns
+  // its LSN, the count of bytes ever appended to this store once the
+  // record is in (it keeps counting across checkpoints and repairs, so
+  // a later record always has a larger LSN). The record is neither
+  // durable nor shipped by ReadWalRange until SyncTo covers it.
+  // `after_lsn` is the LSN of the not-yet-durable record this one was
+  // built on (0 if it was built on durable state only). If a failure
+  // has degraded the store and that record is not durable, the record
+  // it builds on is lost, so this one is refused with kAborted and the
+  // store stays degraded; otherwise degraded-mode handling matches
+  // AppendRecord. The check and the repair share one critical section,
+  // so a failure landing while the caller prepares its record cannot
+  // slip a dependent record into the repaired log. Callers serialize
+  // appends among themselves (the HAM holds its graph lock).
+  Result<uint64_t> AppendRecordDeferred(std::string_view record,
+                                        uint64_t after_lsn);
+
+  // Group commit, step two: returns once every record up to `lsn` is
+  // durable. Safe to call from any thread without the caller's append
+  // lock. The first caller that finds no fsync in flight leads: it
+  // fsyncs everything appended so far, and every waiter it covers
+  // returns with it. A failed fsync degrades the store: every record
+  // past the durable offset is lost, and SyncTo returns the failure for
+  // it. Once a repair has run, an OK return for an LSN whose record the
+  // repair dropped is possible; callers track the fate of their own
+  // records (AppendRecordDeferred's after_lsn keeps a repair from
+  // running under a record built on a lost one).
+  Status SyncTo(uint64_t lsn);
+
   // Appends already-framed replicated bytes to the live WAL (follower
   // apply path). The caller must have CRC-validated `frames` with
   // ReadLog; degraded-mode handling matches AppendRecord.
@@ -161,15 +195,26 @@ class DurableStore {
   // Starts a new generation whose snapshot is `snapshot` and whose WAL
   // is empty, then removes the previous generation. On failure any
   // half-created next-generation files are removed and the store keeps
-  // running on the old generation.
+  // running on the old generation. Deferred appends must have been
+  // synced first: the snapshot replaces the log they live in.
   Status Checkpoint(std::string_view snapshot);
 
   const std::string& dir() const { return dir_; }
   uint64_t epoch() const { return epoch_; }
-  uint64_t wal_bytes() const { return wal_bytes_; }
+  // Durable bytes in the live WAL generation (what replication ships).
+  uint64_t wal_bytes() const;
   // True while commits are being rejected with kReadOnly (see
   // AppendRecord); reads are unaffected.
-  bool degraded() const { return degraded_; }
+  bool degraded() const;
+  // One consistent reading of the group-commit state.
+  struct SyncState {
+    // LSN up to which every surviving record is durable (see SyncTo).
+    uint64_t durable_lsn = 0;
+    // The append or fsync failure that degraded the store; OK while it
+    // is not degraded. Every record past durable_lsn is then lost.
+    Status failure;
+  };
+  SyncState sync_state() const;
 
   // Replication role (see ReplRole). SetReplRole persists atomically.
   const ReplRole& repl_role() const { return repl_; }
@@ -187,25 +232,43 @@ class DurableStore {
         dir_(std::move(dir)),
         epoch_(epoch),
         wal_(std::move(wal)),
-        wal_bytes_(wal_bytes) {}
+        wal_bytes_(wal_bytes),
+        appended_bytes_(wal_bytes) {}
 
   static std::string SnapName(uint64_t epoch);
   static std::string WalName(uint64_t epoch);
 
   // Truncates the live WAL back to wal_bytes_ (the last good record
   // boundary) and reopens the writer. Clears degraded_ on success.
-  Status RepairWal();
+  Status RepairWal(std::unique_lock<std::mutex>& lock);
 
-  // Appends through `append` with shared degraded-mode bookkeeping.
-  Status AppendCommon(uint64_t framed_size,
-                      const std::function<Status()>& append);
+  // Appends through `append` with shared degraded-mode bookkeeping and
+  // returns the new LSN. `durable` marks the bytes committed at once
+  // (no fsync follows); `after_lsn` is as for AppendRecordDeferred.
+  Result<uint64_t> AppendCommon(uint64_t framed_size, bool durable,
+                                uint64_t after_lsn,
+                                const std::function<Status()>& append);
+
+  // Records an append/fsync failure and enters degraded mode.
+  void EnterDegradedLocked(const Status& failure);
 
   Env* env_;
   std::string dir_;
   uint64_t epoch_;
+
+  // mu_ guards everything below. The fsync itself runs without it
+  // (sync_in_flight_ marks it), so appends proceed during a group's
+  // fsync; anything that replaces wal_ first waits for the fsync.
+  mutable std::mutex mu_;
+  std::condition_variable sync_cv_;
   std::unique_ptr<LogWriter> wal_;  // null only while degraded_
-  uint64_t wal_bytes_;
+  uint64_t wal_bytes_;       // durable end of the live generation
+  uint64_t appended_bytes_;  // append end of the live generation
+  uint64_t durable_lsn_ = 0;
+  uint64_t appended_lsn_ = 0;
+  bool sync_in_flight_ = false;
   bool degraded_ = false;
+  Status failure_;
   ReplRole repl_;
   uint32_t keep_wal_generations_ = 0;
 };

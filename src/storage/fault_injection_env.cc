@@ -1,6 +1,8 @@
 #include "storage/fault_injection_env.h"
 
 #include <algorithm>
+#include <chrono>
+#include <thread>
 #include <utility>
 
 namespace neptune {
@@ -38,10 +40,22 @@ class FaultInjectionEnv::FaultFile : public WritableFile {
       return Status::IOError("injected fsync failure for " + path_);
     }
     // Durability is modeled, not bought: no fsync(2) — the bytes already
-    // reached the filesystem via Append, which is all tests observe.
+    // reached the filesystem via Append, which is all tests observe. An
+    // fsync pins down what was written when it started; bytes appended
+    // while it runs (see SetSyncLatencyMicros) are not covered.
+    uint64_t covered = 0;
+    {
+      std::lock_guard<std::mutex> lock(env_->mu_);
+      covered = env_->files_[path_].written;
+    }
+    const uint64_t latency_us = env_->sync_latency_us_.load();
+    if (latency_us > 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(latency_us));
+      if (env_->down()) return env_->DownStatus();
+    }
     std::lock_guard<std::mutex> lock(env_->mu_);
     FileState& fs = env_->files_[path_];
-    fs.durable = fs.written;
+    fs.durable = std::max(fs.durable, covered);
     return Status::OK();
   }
 

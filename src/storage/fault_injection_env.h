@@ -63,6 +63,11 @@ class FaultInjectionEnv : public Env {
   void PowerCutAtSync(uint64_t n) { power_cut_at_sync_ = n; }
   void PowerCutNow();
 
+  // Makes every fsync take `us` microseconds, so appends on other
+  // threads can land while one is in flight; it covers only the bytes
+  // written before it started. 0 (the default) makes fsyncs instant.
+  void SetSyncLatencyMicros(uint64_t us) { sync_latency_us_ = us; }
+
   // Disarms every schedule. Does not revive a machine that lost power.
   void Heal();
 
@@ -118,6 +123,7 @@ class FaultInjectionEnv : public Env {
   std::atomic<uint64_t> fail_truncates_after_{kNever};
   std::atomic<uint64_t> fail_atomic_writes_after_{kNever};
   std::atomic<uint64_t> power_cut_at_sync_{kNever};
+  std::atomic<uint64_t> sync_latency_us_{0};
 
   std::atomic<bool> down_{false};
 

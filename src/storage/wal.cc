@@ -24,22 +24,19 @@ Status LogWriter::AddRecord(std::string_view payload, bool sync) {
   NEPTUNE_RETURN_IF_ERROR(file_->Append(frame));
   NEPTUNE_METRIC_COUNT("storage.wal.appends", 1);
   NEPTUNE_METRIC_COUNT("storage.wal.bytes", frame.size());
-  if (sync) {
-    NEPTUNE_METRIC_TIMED(timer, "storage.wal.fsync");
-    return file_->Sync();
-  }
-  return Status::OK();
+  return sync ? Sync() : Status::OK();
 }
 
 Status LogWriter::AddRawFrames(std::string_view frames, bool sync) {
   NEPTUNE_RETURN_IF_ERROR(file_->Append(frames));
   NEPTUNE_METRIC_COUNT("storage.wal.appends", 1);
   NEPTUNE_METRIC_COUNT("storage.wal.bytes", frames.size());
-  if (sync) {
-    NEPTUNE_METRIC_TIMED(timer, "storage.wal.fsync");
-    return file_->Sync();
-  }
-  return Status::OK();
+  return sync ? Sync() : Status::OK();
+}
+
+Status LogWriter::Sync() {
+  NEPTUNE_METRIC_TIMED(timer, "storage.wal.fsync");
+  return file_->Sync();
 }
 
 Result<LogReadResult> ReadLog(std::string_view data) {

@@ -48,6 +48,11 @@ class LogWriter {
   // validated `frames`; nothing is re-framed here.
   Status AddRawFrames(std::string_view frames, bool sync);
 
+  // fsyncs everything appended so far. May run on another thread
+  // concurrently with an append; it then covers at least the bytes
+  // appended before it started.
+  Status Sync();
+
   Status Close() { return file_->Close(); }
 
  private:

@@ -557,6 +557,70 @@ TEST_F(ReplicationTest, FollowerReadRoutingAndFallback) {
   EXPECT_TRUE((*client)->CloseGraph(*ctx).ok());
 }
 
+// Freshness is per graph: a follower that is current for one directory
+// and far behind on another serves reads for the first only, even
+// while the first's probe result is cached.
+TEST_F(ReplicationTest, FollowerFreshnessIsCachedPerDirectory) {
+  const std::string tree = base_ + "/tree";
+  const std::string replica = base_ + "/tree_replica";
+  ASSERT_TRUE(Env::Default()->CreateDir(tree).ok());
+  auto a = primary_->CreateGraph(tree + "/alpha", 0755);
+  auto b = primary_->CreateGraph(tree + "/beta", 0755);
+  ASSERT_TRUE(a.ok() && b.ok());
+  auto actx = primary_->OpenGraph(a->project, "local", tree + "/alpha");
+  auto bctx = primary_->OpenGraph(b->project, "local", tree + "/beta");
+  ASSERT_TRUE(actx.ok() && bctx.ok());
+  auto anode = primary_->AddNode(*actx, true);
+  auto bnode = primary_->AddNode(*bctx, true);
+  ASSERT_TRUE(anode.ok() && bnode.ok());
+
+  auto repl_client = RemoteHam::Connect("localhost", port_);
+  ASSERT_TRUE(repl_client.ok());
+  Replicator::Options repl_options = FastReplicatorOptions();
+  repl_options.primary_root = tree;
+  repl_options.local_root = replica;
+  Replicator replicator(follower_.get(), repl_client->get(), repl_options);
+  replicator.Start();
+  ASSERT_TRUE(WaitFor([&] { return replicator.AllCaughtUp(); }));
+  replicator.Stop();
+  // alpha stays current; beta falls far outside the lag bound.
+  follower_->NoteReplProgress(replica + "/alpha", 0, true);
+  follower_->NoteReplProgress(replica + "/beta", 1ull << 40, false);
+
+  Server follower_server(follower_.get());
+  auto fport = follower_server.Start(0);
+  ASSERT_TRUE(fport.ok()) << fport.status().ToString();
+  RemoteHam::Options options;
+  options.follower_host = "localhost";
+  options.follower_port = *fport;
+  options.follower_status_ttl_ms = 60'000;  // every probe stays cached
+  options.follower_remap_from = tree;
+  options.follower_remap_to = replica;
+  auto client = RemoteHam::Connect("localhost", port_, options);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE((*client)->has_follower());
+  auto ca = (*client)->OpenGraph(a->project, "localhost", tree + "/alpha");
+  auto cb = (*client)->OpenGraph(b->project, "localhost", tree + "/beta");
+  ASSERT_TRUE(ca.ok() && cb.ok());
+
+  uint64_t routed = CounterNow("repl.client.follower_reads");
+  ASSERT_TRUE((*client)->OpenNode(*ca, anode->node, 0, {}).ok());
+  EXPECT_EQ(CounterNow("repl.client.follower_reads"), routed + 1)
+      << "the fresh graph's read was not routed to the follower";
+
+  routed = CounterNow("repl.client.follower_reads");
+  ASSERT_TRUE((*client)->OpenNode(*cb, bnode->node, 0, {}).ok());
+  EXPECT_EQ(CounterNow("repl.client.follower_reads"), routed)
+      << "the stale graph's read was routed on the fresh graph's probe";
+
+  routed = CounterNow("repl.client.follower_reads");
+  ASSERT_TRUE((*client)->OpenNode(*ca, anode->node, 0, {}).ok());
+  EXPECT_EQ(CounterNow("repl.client.follower_reads"), routed + 1)
+      << "the fresh graph's read took the stale graph's probe";
+  EXPECT_TRUE((*client)->CloseGraph(*ca).ok());
+  EXPECT_TRUE((*client)->CloseGraph(*cb).ok());
+}
+
 // Promotion over the wire: the ctl path — primary dies, the operator
 // promotes the follower through its server, and writes move over.
 TEST_F(ReplicationTest, PromoteOverRpcTakesWrites) {

@@ -20,9 +20,11 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ham/ham.h"
@@ -208,6 +210,101 @@ TEST_F(CrashRecoveryTest, EveryFsyncPointIsSurvivable) {
       CheckOneCrashPoint(dir_, cut, seed, &recovery_log);
       if (::testing::Test::HasFatalFailure()) return;
     }
+  }
+}
+
+// Two writers commit on one graph at once, so commits share group
+// fsyncs and a cut can land while one writer's commit is pending behind
+// the other's fsync. Every acked commit must survive byte for byte;
+// every unacked one (its commit failed or never returned OK) must be
+// fully present or fully absent; nothing else may exist.
+TEST_F(CrashRecoveryTest, TwoWritersPowerCutKeepsAckedCommits) {
+  constexpr int kStepsPerWriter = 30;
+  constexpr uint64_t kCutStride = 5;
+  constexpr uint64_t kMaxCut = 60;
+  for (uint64_t cut = 0; cut <= kMaxCut; cut += kCutStride) {
+    SCOPED_TRACE("cut=" + std::to_string(cut));
+    Env::Default()->RemoveDirRecursive(dir_);
+    FaultInjectionEnv env(Env::Default(), /*seed=*/cut + 1);
+    // A slow fsync lets the other writer append while one is in flight;
+    // those bytes stay unsynced, so a leader that claims them gets caught.
+    env.SetSyncLatencyMicros(200);
+    ham::HamOptions options;
+    options.sync_commits = true;
+
+    std::mutex mu;
+    std::vector<Acked> acked;
+    std::vector<Acked> unacked;
+    ham::ProjectId project = 0;
+    {
+      ham::Ham engine(&env, options);
+      auto created = engine.CreateGraph(dir_, 0755);
+      ASSERT_TRUE(created.ok());
+      project = created->project;
+      // Sessions open before the writers start: two concurrent first
+      // opens would each open the store (see LoadGraph).
+      std::vector<ham::Context> contexts;
+      for (int w = 0; w < 2; ++w) {
+        auto ctx = engine.OpenGraph(project, "local", dir_);
+        ASSERT_TRUE(ctx.ok());
+        contexts.push_back(*ctx);
+      }
+      env.PowerCutAtSync(env.syncs() + cut);
+      std::vector<std::thread> writers;
+      for (int w = 0; w < 2; ++w) {
+        writers.emplace_back([&, w] {
+          const ham::Context* ctx = &contexts[w];
+          for (int i = 0; i < kStepsPerWriter && !env.down(); ++i) {
+            if (w == 0 && i == kStepsPerWriter / 2) engine.Checkpoint(*ctx);
+            if (!engine.BeginTransaction(*ctx).ok()) continue;
+            auto added = engine.AddNode(*ctx, /*keep_history=*/true);
+            const std::string payload =
+                "writer-" + std::to_string(w) + "-" + std::to_string(i);
+            if (!added.ok() ||
+                !engine
+                     .ModifyNode(*ctx, added->node, added->creation_time,
+                                 payload, {}, "")
+                     .ok()) {
+              engine.AbortTransaction(*ctx);
+              continue;
+            }
+            const bool ok = engine.CommitTransaction(*ctx).ok();
+            std::lock_guard<std::mutex> lock(mu);
+            (ok ? acked : unacked).push_back({added->node, payload});
+          }
+        });
+      }
+      for (std::thread& t : writers) t.join();
+    }
+
+    env.Restart();
+    env.Heal();
+    ham::Ham engine(&env, options);
+    auto ctx = engine.OpenGraph(project, "local", dir_);
+    ASSERT_TRUE(ctx.ok()) << ctx.status().ToString();
+    for (const Acked& txn : acked) {
+      auto opened = engine.OpenNode(*ctx, txn.node, 0, {});
+      ASSERT_TRUE(opened.ok()) << "lost acked node " << txn.node << ": "
+                               << opened.status().ToString();
+      EXPECT_EQ(opened->contents, txn.payload);
+    }
+    size_t survivors = acked.size();
+    for (const Acked& txn : unacked) {
+      auto opened = engine.OpenNode(*ctx, txn.node, 0, {});
+      if (opened.ok()) {
+        EXPECT_EQ(opened->contents, txn.payload)
+            << "unacked commit recovered half-applied";
+        ++survivors;
+      } else {
+        EXPECT_TRUE(opened.status().IsNotFound())
+            << opened.status().ToString();
+      }
+    }
+    auto stats = engine.GetStats(*ctx);
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats->node_count, survivors)
+        << "recovery resurrected an aborted or phantom transaction";
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 

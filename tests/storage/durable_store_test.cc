@@ -4,6 +4,8 @@
 
 #include <filesystem>
 
+#include "storage/fault_injection_env.h"
+
 namespace neptune {
 namespace {
 
@@ -275,6 +277,43 @@ TEST_F(DurableStoreTest, DestroyRemovesEverything) {
   ASSERT_TRUE(DurableStore::Destroy(env_, dir_).ok());
   EXPECT_FALSE(DurableStore::Exists(env_, dir_));
   EXPECT_TRUE(DurableStore::Destroy(env_, dir_).IsNotFound());
+}
+
+// A group fsync fails and loses a deferred record; a record built on it
+// must not ride the repair into the log, even though it is appended
+// after the failure and a later fsync covers its LSN. A record built on
+// durable state repairs the log and survives alone.
+TEST_F(DurableStoreTest, DeferredRecordBuiltOnLostRecordIsRefused) {
+  FaultInjectionEnv fault_env(env_);
+  {
+    auto store = DurableStore::Create(&fault_env, dir_, "m", "s", 0);
+    ASSERT_TRUE(store.ok());
+    DurableStore* st = store->get();
+    ASSERT_TRUE(st->AppendRecord("durable", true).ok());
+
+    auto lost = st->AppendRecordDeferred("lost", /*after_lsn=*/0);
+    ASSERT_TRUE(lost.ok());
+    fault_env.FailSyncsAfter(fault_env.syncs());
+    EXPECT_TRUE(st->SyncTo(*lost).IsIOError());
+    fault_env.Heal();
+    EXPECT_FALSE(st->sync_state().failure.ok());
+
+    auto orphan = st->AppendRecordDeferred("built on lost", *lost);
+    EXPECT_TRUE(orphan.status().IsAborted()) << orphan.status().ToString();
+    EXPECT_TRUE(st->degraded()) << "a refused append must not repair";
+
+    auto fresh = st->AppendRecordDeferred("fresh", /*after_lsn=*/0);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    EXPECT_GT(*fresh, *lost);
+    ASSERT_TRUE(st->SyncTo(*fresh).ok());
+    EXPECT_TRUE(st->sync_state().failure.ok());
+  }
+  RecoveredState state;
+  auto store = DurableStore::Open(env_, dir_, &state);
+  ASSERT_TRUE(store.ok());
+  ASSERT_EQ(state.wal_records.size(), 2u);
+  EXPECT_EQ(state.wal_records[0], "durable");
+  EXPECT_EQ(state.wal_records[1], "fresh");
 }
 
 TEST_F(DurableStoreTest, WalBytesTracksAppends) {
