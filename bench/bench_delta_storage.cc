@@ -10,10 +10,15 @@
 // Expected shape: delta storage grows with edit size, not contents
 // size; full-copy grows with contents size per version; delta wins by
 // roughly contents_size / edit_size.
+//
+// Also times the two per-byte kernels under every version append and
+// every framed record: EncodeDelta on a two-line edit, and CRC32C.
 
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
+#include "common/crc32c.h"
+#include "delta/byte_delta.h"
 #include "delta/version_chain.h"
 
 namespace neptune {
@@ -115,6 +120,45 @@ void BM_HamModifyNode(benchmark::State& state) {
 BENCHMARK(BM_HamModifyNode)
     ->ArgsProduct({{1, 0}, {4 << 10, 64 << 10}})
     ->ArgNames({"archive", "bytes"});
+
+// CRC32C over `range(0)` bytes (a small RPC message, a page, a
+// snapshot-sized blob).
+void BM_Crc32c(benchmark::State& state) {
+  Random rng(3720);
+  const std::string data = rng.NextBytes(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32c::Value(data));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+  state.counters["sse42"] = crc32c::internal::UsesSse42() ? 1 : 0;
+}
+
+BENCHMARK(BM_Crc32c)->Arg(64)->Arg(4096)->Arg(1 << 20);
+
+// EncodeDelta of a node of `range(0)` 40-character lines against the
+// same node with two lines rewritten: the shape of a document check-in.
+void BM_EncodeDelta(benchmark::State& state) {
+  const size_t lines = static_cast<size_t>(state.range(0));
+  Random rng(17);
+  std::string base;
+  for (size_t l = 0; l < lines; ++l) base += rng.NextString(40) + "\n";
+  std::string target = base;
+  for (size_t line : {lines / 3, 2 * lines / 3}) {
+    target.replace(line * 41, 40, rng.NextString(40));
+  }
+  size_t script_bytes = 0;
+  for (auto _ : state) {
+    const std::string script = delta::EncodeDelta(base, target);
+    script_bytes = script.size();
+    benchmark::DoNotOptimize(script.data());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(target.size()));
+  state.counters["script_bytes"] = static_cast<double>(script_bytes);
+}
+
+BENCHMARK(BM_EncodeDelta)->Arg(24)->Arg(48)->Arg(100);
 
 }  // namespace
 }  // namespace neptune

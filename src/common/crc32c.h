@@ -12,7 +12,9 @@ namespace neptune {
 namespace crc32c {
 
 // Returns the CRC32C of data, seeded by `init_crc` (pass 0 for a fresh
-// checksum; pass a previous return value to extend it).
+// checksum; pass a previous return value to extend it). Uses the SSE4.2
+// crc32 instruction when the CPU has it, a byte-at-a-time table
+// otherwise; both give identical values.
 uint32_t Extend(uint32_t init_crc, std::string_view data);
 
 inline uint32_t Value(std::string_view data) { return Extend(0, data); }
@@ -28,6 +30,14 @@ inline uint32_t Unmask(uint32_t masked) {
   uint32_t rot = masked - 0xa282ead8ul;
   return (rot >> 17) | (rot << 15);
 }
+
+// For tests, which cross-check the two implementations.
+namespace internal {
+// The table-driven routine Extend falls back to without SSE4.2.
+uint32_t ExtendPortable(uint32_t init_crc, std::string_view data);
+// True when Extend runs on the SSE4.2 crc32 instruction.
+bool UsesSse42();
+}  // namespace internal
 
 }  // namespace crc32c
 }  // namespace neptune

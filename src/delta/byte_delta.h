@@ -6,8 +6,9 @@
 // EncodeDelta(base, target) produces a compact script of COPY(offset,
 // length)-from-base and ADD(literal-bytes) instructions such that
 // ApplyDelta(base, script) == target. Node contents are uninterpreted
-// binary at the HAM level, so the encoder works on raw bytes (block
-// matching, xdelta-style) rather than lines.
+// binary at the HAM level, so the encoder works on raw bytes rather than
+// lines: the common prefix and suffix are one COPY each, and the middle
+// is block-matched against the whole base (xdelta-style).
 //
 // Script encoding (varints):
 //   0x00 <varint len> <len bytes>            ADD

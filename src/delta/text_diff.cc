@@ -1,37 +1,39 @@
 #include "delta/text_diff.h"
 
 #include <algorithm>
-#include <functional>
 #include <unordered_map>
 
 namespace neptune {
 namespace delta {
 
-std::vector<std::string> SplitLines(std::string_view text) {
-  std::vector<std::string> lines;
+namespace {
+
+// SplitLines without copying: views into `text`.
+std::vector<std::string_view> SplitLineViews(std::string_view text) {
+  std::vector<std::string_view> lines;
   size_t start = 0;
   while (start < text.size()) {
     size_t nl = text.find('\n', start);
     if (nl == std::string_view::npos) {
-      lines.emplace_back(text.substr(start));
+      lines.push_back(text.substr(start));
       break;
     }
-    lines.emplace_back(text.substr(start, nl - start));
+    lines.push_back(text.substr(start, nl - start));
     start = nl + 1;
   }
   return lines;
 }
 
-namespace {
-
-// Interns lines to small integers so Myers compares ints, not strings.
-std::vector<int> InternLines(const std::vector<std::string>& lines,
-                             std::unordered_map<std::string, int>* ids) {
+// Interns lines[begin, end) to small integers so Myers compares ints,
+// not strings.
+std::vector<int> InternLines(const std::vector<std::string_view>& lines,
+                             size_t begin, size_t end,
+                             std::unordered_map<std::string_view, int>* ids) {
   std::vector<int> out;
-  out.reserve(lines.size());
-  for (const auto& line : lines) {
+  out.reserve(end - begin);
+  for (size_t i = begin; i < end; ++i) {
     auto [it, inserted] =
-        ids->emplace(line, static_cast<int>(ids->size()));
+        ids->emplace(lines[i], static_cast<int>(ids->size()));
     out.push_back(it->second);
   }
   return out;
@@ -115,24 +117,47 @@ void MyersMatch(const std::vector<int>& a, const std::vector<int>& b,
 
 }  // namespace
 
+std::vector<std::string> SplitLines(std::string_view text) {
+  const std::vector<std::string_view> views = SplitLineViews(text);
+  return {views.begin(), views.end()};
+}
+
 std::vector<Difference> DiffLines(std::string_view old_text,
                                   std::string_view new_text) {
-  const std::vector<std::string> old_lines = SplitLines(old_text);
-  const std::vector<std::string> new_lines = SplitLines(new_text);
+  const std::vector<std::string_view> old_lines = SplitLineViews(old_text);
+  const std::vector<std::string_view> new_lines = SplitLineViews(new_text);
+  const size_t n = old_lines.size();
+  const size_t m = new_lines.size();
 
-  std::unordered_map<std::string, int> ids;
-  const std::vector<int> a = InternLines(old_lines, &ids);
-  const std::vector<int> b = InternLines(new_lines, &ids);
+  // Lines shared at both ends are matched outright; Myers runs on the
+  // middle only.
+  size_t prefix = 0;
+  while (prefix < n && prefix < m && old_lines[prefix] == new_lines[prefix]) {
+    ++prefix;
+  }
+  size_t suffix = 0;
+  while (suffix < n - prefix && suffix < m - prefix &&
+         old_lines[n - 1 - suffix] == new_lines[m - 1 - suffix]) {
+    ++suffix;
+  }
 
-  std::vector<bool> a_matched;
-  std::vector<bool> b_matched;
-  MyersMatch(a, b, &a_matched, &b_matched);
+  std::unordered_map<std::string_view, int> ids;
+  const std::vector<int> a = InternLines(old_lines, prefix, n - suffix, &ids);
+  const std::vector<int> b = InternLines(new_lines, prefix, m - suffix, &ids);
+  std::vector<bool> a_mid;
+  std::vector<bool> b_mid;
+  MyersMatch(a, b, &a_mid, &b_mid);
+
+  std::vector<bool> a_matched(n, true);
+  std::vector<bool> b_matched(m, true);
+  std::copy(a_mid.begin(), a_mid.end(), a_matched.begin() + prefix);
+  std::copy(b_mid.begin(), b_mid.end(), b_matched.begin() + prefix);
 
   std::vector<Difference> diffs;
   size_t i = 0;
   size_t j = 0;
-  while (i < a.size() || j < b.size()) {
-    if (i < a.size() && j < b.size() && a_matched[i] && b_matched[j]) {
+  while (i < n || j < m) {
+    if (i < n && j < m && a_matched[i] && b_matched[j]) {
       ++i;
       ++j;
       continue;
@@ -141,12 +166,12 @@ std::vector<Difference> DiffLines(std::string_view old_text,
     Difference d;
     d.old_begin = i;
     d.new_begin = j;
-    while (i < a.size() && !a_matched[i]) {
-      d.old_lines.push_back(old_lines[i]);
+    while (i < n && !a_matched[i]) {
+      d.old_lines.emplace_back(old_lines[i]);
       ++i;
     }
-    while (j < b.size() && !b_matched[j]) {
-      d.new_lines.push_back(new_lines[j]);
+    while (j < m && !b_matched[j]) {
+      d.new_lines.emplace_back(new_lines[j]);
       ++j;
     }
     d.old_end = i;

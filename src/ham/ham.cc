@@ -313,7 +313,8 @@ Status Ham::DestroyGraph(ProjectId project, const std::string& directory) {
   {
     std::lock_guard<std::mutex> lock(registry_mu_);
     auto it = graphs_.find(directory);
-    if (it != graphs_.end() && !it->second.expired()) {
+    if ((it != graphs_.end() && !it->second.expired()) ||
+        loading_.count(directory) > 0) {
       return Status::FailedPrecondition(
           "graph in " + directory + " has open sessions; close them first");
     }
@@ -332,9 +333,9 @@ Status Ham::DestroyGraph(ProjectId project, const std::string& directory) {
 
 Result<std::shared_ptr<Ham::GraphHandle>> Ham::LoadGraph(
     const std::string& directory) {
-  // Fast path: already open.
+  std::promise<Result<std::shared_ptr<GraphHandle>>> loaded;
   {
-    std::lock_guard<std::mutex> lock(registry_mu_);
+    std::unique_lock<std::mutex> lock(registry_mu_);
     auto it = graphs_.find(directory);
     if (it != graphs_.end()) {
       if (std::shared_ptr<GraphHandle> handle = it->second.lock()) {
@@ -342,8 +343,38 @@ Result<std::shared_ptr<Ham::GraphHandle>> Ham::LoadGraph(
       }
       graphs_.erase(it);
     }
+    // Another opener is recovering this store: a second DurableStore
+    // would recover it again and open a second WAL writer on the live
+    // file, so wait for the first one's result instead.
+    auto loading = loading_.find(directory);
+    if (loading != loading_.end()) {
+      std::shared_future<Result<std::shared_ptr<GraphHandle>>> pending =
+          loading->second;
+      lock.unlock();
+      return pending.get();
+    }
+    loading_.emplace(directory, loaded.get_future().share());
   }
 
+  Result<std::shared_ptr<GraphHandle>> handle = RecoverGraph(directory);
+  {
+    std::lock_guard<std::mutex> lock(registry_mu_);
+    loading_.erase(directory);
+    if (handle.ok()) {
+      std::weak_ptr<GraphHandle>& slot = graphs_[directory];
+      if (std::shared_ptr<GraphHandle> existing = slot.lock()) {
+        handle = existing;  // a follower's snapshot install got there first
+      } else {
+        slot = *handle;
+      }
+    }
+  }
+  loaded.set_value(handle);
+  return handle;
+}
+
+Result<std::shared_ptr<Ham::GraphHandle>> Ham::RecoverGraph(
+    const std::string& directory) {
   RecoveredState recovered;
   NEPTUNE_ASSIGN_OR_RETURN(
       std::unique_ptr<DurableStore> store,
@@ -378,15 +409,6 @@ Result<std::shared_ptr<Ham::GraphHandle>> Ham::LoadGraph(
     NEPTUNE_LOG(Info) << "event=graph_recovered dir=" << directory << " "
                       << recovered.report.ToString();
   }
-
-  std::lock_guard<std::mutex> lock(registry_mu_);
-  auto it = graphs_.find(directory);
-  if (it != graphs_.end()) {
-    if (std::shared_ptr<GraphHandle> existing = it->second.lock()) {
-      return existing;  // lost a benign race with another opener
-    }
-  }
-  graphs_[directory] = handle;
   return handle;
 }
 

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -429,8 +430,14 @@ class Ham final : public HamInterface {
   void LeaseWatchdogLoop();
   void SweepExpiredLeases(uint64_t lease_us);
 
-  // Loads or creates the shared handle for a directory.
+  // Returns the open handle for a directory, or opens it. Concurrent
+  // first opens of one directory share a single recovery: later
+  // openers wait for the first one's result.
   Result<std::shared_ptr<GraphHandle>> LoadGraph(const std::string& directory);
+  // Opens the store in `directory` (recovery) and replays it into a
+  // new handle.
+  Result<std::shared_ptr<GraphHandle>> RecoverGraph(
+      const std::string& directory);
 
   // Acquires/releases the per-graph writer slot for a session, resetting
   // its overlay (on acquire, chained to the newest pending commit).
@@ -515,8 +522,14 @@ class Ham final : public HamInterface {
 
   std::atomic<bool> follower_mode_{false};
 
-  std::mutex registry_mu_;  // guards graphs_, sessions_ and repl_pins_
+  // guards graphs_, loading_, sessions_ and repl_pins_
+  std::mutex registry_mu_;
   std::map<std::string, std::weak_ptr<GraphHandle>> graphs_;
+  // Directories whose first open is recovering the store, with the
+  // result later openers wait for.
+  std::map<std::string,
+           std::shared_future<Result<std::shared_ptr<GraphHandle>>>>
+      loading_;
   // Strong references to replicated graphs on a follower (see
   // PinReplicaGraph).
   std::map<std::string, std::shared_ptr<GraphHandle>> repl_pins_;

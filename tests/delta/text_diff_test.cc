@@ -171,6 +171,64 @@ TEST_P(TextDiffPropertyTest, RandomEditsReplay) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TextDiffPropertyTest, ::testing::Range(0, 40));
 
+// Longest common subsequence length by the textbook O(nm) table.
+size_t BruteForceLcs(const std::vector<std::string>& a,
+                     const std::vector<std::string>& b) {
+  std::vector<std::vector<size_t>> t(a.size() + 1,
+                                     std::vector<size_t>(b.size() + 1, 0));
+  for (size_t i = 1; i <= a.size(); ++i) {
+    for (size_t j = 1; j <= b.size(); ++j) {
+      t[i][j] = a[i - 1] == b[j - 1] ? t[i - 1][j - 1] + 1
+                                     : std::max(t[i - 1][j], t[i][j - 1]);
+    }
+  }
+  return t[a.size()][b.size()];
+}
+
+// DiffLines is minimal: it changes exactly the lines outside a longest
+// common subsequence, however much prefix and suffix the texts share.
+class TextDiffMinimalityTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(TextDiffMinimalityTest, ChangedLinesMatchBruteForceLcs) {
+  Random rng(4242 + GetParam());
+  auto random_lines = [&](size_t count) {
+    std::vector<std::string> lines;
+    for (size_t i = 0; i < count; ++i) {
+      lines.push_back("l" + std::to_string(rng.Uniform(6)));
+    }
+    return lines;
+  };
+  const std::vector<std::string> head = random_lines(rng.Uniform(30));
+  const std::vector<std::string> tail = random_lines(rng.Uniform(30));
+  std::vector<std::string> old_lines = head;
+  std::vector<std::string> new_lines = head;
+  for (const std::string& line : random_lines(rng.Uniform(40))) {
+    old_lines.push_back(line);
+  }
+  for (const std::string& line : random_lines(rng.Uniform(40))) {
+    new_lines.push_back(line);
+  }
+  old_lines.insert(old_lines.end(), tail.begin(), tail.end());
+  new_lines.insert(new_lines.end(), tail.begin(), tail.end());
+
+  auto join = [](const std::vector<std::string>& lines) {
+    std::string out;
+    for (const auto& l : lines) out += l + "\n";
+    return out;
+  };
+  auto diffs = DiffLines(join(old_lines), join(new_lines));
+  size_t changed = 0;
+  for (const Difference& d : diffs) {
+    changed += d.old_lines.size() + d.new_lines.size();
+  }
+  EXPECT_EQ(changed, old_lines.size() + new_lines.size() -
+                         2 * BruteForceLcs(old_lines, new_lines));
+  EXPECT_EQ(ApplyDifferences(old_lines, diffs), new_lines);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TextDiffMinimalityTest,
+                         ::testing::Range(0, 100));
+
 }  // namespace
 }  // namespace delta
 }  // namespace neptune

@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -27,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "ham/ham.h"
 #include "storage/durable_store.h"
 #include "storage/fault_injection_env.h"
@@ -218,13 +220,52 @@ TEST_F(CrashRecoveryTest, EveryFsyncPointIsSurvivable) {
 // the other's fsync. Every acked commit must survive byte for byte;
 // every unacked one (its commit failed or never returned OK) must be
 // fully present or fully absent; nothing else may exist.
-TEST_F(CrashRecoveryTest, TwoWritersPowerCutKeepsAckedCommits) {
+// Reopens `dir` after a power cut and checks every acked commit is
+// there, and that nothing but acked and unacked commits is.
+void ExpectAckedSurvive(FaultInjectionEnv* env, const ham::HamOptions& options,
+                        const std::string& dir, ham::ProjectId project,
+                        const std::vector<Acked>& acked,
+                        const std::vector<Acked>& unacked) {
+  env->Restart();
+  env->Heal();
+  ham::Ham engine(env, options);
+  auto ctx = engine.OpenGraph(project, "local", dir);
+  ASSERT_TRUE(ctx.ok()) << ctx.status().ToString();
+  for (const Acked& txn : acked) {
+    auto opened = engine.OpenNode(*ctx, txn.node, 0, {});
+    ASSERT_TRUE(opened.ok()) << "lost acked node " << txn.node << ": "
+                             << opened.status().ToString();
+    EXPECT_EQ(opened->contents, txn.payload);
+  }
+  size_t survivors = acked.size();
+  for (const Acked& txn : unacked) {
+    auto opened = engine.OpenNode(*ctx, txn.node, 0, {});
+    if (opened.ok()) {
+      EXPECT_EQ(opened->contents, txn.payload)
+          << "unacked commit recovered half-applied";
+      ++survivors;
+    } else {
+      EXPECT_TRUE(opened.status().IsNotFound()) << opened.status().ToString();
+    }
+  }
+  auto stats = engine.GetStats(*ctx);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->node_count, survivors)
+      << "recovery resurrected an aborted or phantom transaction";
+}
+
+// Two writers commit concurrently under group commit; the power is cut
+// at every 5th fsync point. With `concurrent_open` each writer opens
+// its own session at the same moment, so the first open of the graph
+// races between them.
+void RunTwoWritersPowerCut(const std::string& dir, bool concurrent_open) {
+  constexpr int kWriters = 2;
   constexpr int kStepsPerWriter = 30;
   constexpr uint64_t kCutStride = 5;
   constexpr uint64_t kMaxCut = 60;
   for (uint64_t cut = 0; cut <= kMaxCut; cut += kCutStride) {
     SCOPED_TRACE("cut=" + std::to_string(cut));
-    Env::Default()->RemoveDirRecursive(dir_);
+    Env::Default()->RemoveDirRecursive(dir);
     FaultInjectionEnv env(Env::Default(), /*seed=*/cut + 1);
     // A slow fsync lets the other writer append while one is in flight;
     // those bytes stay unsynced, so a leader that claims them gets caught.
@@ -238,22 +279,32 @@ TEST_F(CrashRecoveryTest, TwoWritersPowerCutKeepsAckedCommits) {
     ham::ProjectId project = 0;
     {
       ham::Ham engine(&env, options);
-      auto created = engine.CreateGraph(dir_, 0755);
+      auto created = engine.CreateGraph(dir, 0755);
       ASSERT_TRUE(created.ok());
       project = created->project;
-      // Sessions open before the writers start: two concurrent first
-      // opens would each open the store (see LoadGraph).
-      std::vector<ham::Context> contexts;
-      for (int w = 0; w < 2; ++w) {
-        auto ctx = engine.OpenGraph(project, "local", dir_);
-        ASSERT_TRUE(ctx.ok());
-        contexts.push_back(*ctx);
+      std::vector<ham::Context> contexts(kWriters);
+      if (!concurrent_open) {
+        for (ham::Context& ctx : contexts) {
+          auto opened = engine.OpenGraph(project, "local", dir);
+          ASSERT_TRUE(opened.ok());
+          ctx = *opened;
+        }
       }
       env.PowerCutAtSync(env.syncs() + cut);
+      std::latch start(kWriters);
       std::vector<std::thread> writers;
-      for (int w = 0; w < 2; ++w) {
+      for (int w = 0; w < kWriters; ++w) {
         writers.emplace_back([&, w] {
-          const ham::Context* ctx = &contexts[w];
+          ham::Context* ctx = &contexts[w];
+          if (concurrent_open) {
+            start.arrive_and_wait();
+            auto opened = engine.OpenGraph(project, "local", dir);
+            if (!opened.ok()) {
+              ADD_FAILURE() << opened.status().ToString();
+              return;
+            }
+            *ctx = *opened;
+          }
           for (int i = 0; i < kStepsPerWriter && !env.down(); ++i) {
             if (w == 0 && i == kStepsPerWriter / 2) engine.Checkpoint(*ctx);
             if (!engine.BeginTransaction(*ctx).ok()) continue;
@@ -276,36 +327,77 @@ TEST_F(CrashRecoveryTest, TwoWritersPowerCutKeepsAckedCommits) {
       }
       for (std::thread& t : writers) t.join();
     }
-
-    env.Restart();
-    env.Heal();
-    ham::Ham engine(&env, options);
-    auto ctx = engine.OpenGraph(project, "local", dir_);
-    ASSERT_TRUE(ctx.ok()) << ctx.status().ToString();
-    for (const Acked& txn : acked) {
-      auto opened = engine.OpenNode(*ctx, txn.node, 0, {});
-      ASSERT_TRUE(opened.ok()) << "lost acked node " << txn.node << ": "
-                               << opened.status().ToString();
-      EXPECT_EQ(opened->contents, txn.payload);
-    }
-    size_t survivors = acked.size();
-    for (const Acked& txn : unacked) {
-      auto opened = engine.OpenNode(*ctx, txn.node, 0, {});
-      if (opened.ok()) {
-        EXPECT_EQ(opened->contents, txn.payload)
-            << "unacked commit recovered half-applied";
-        ++survivors;
-      } else {
-        EXPECT_TRUE(opened.status().IsNotFound())
-            << opened.status().ToString();
-      }
-    }
-    auto stats = engine.GetStats(*ctx);
-    ASSERT_TRUE(stats.ok());
-    EXPECT_EQ(stats->node_count, survivors)
-        << "recovery resurrected an aborted or phantom transaction";
-    if (::testing::Test::HasFatalFailure()) return;
+    ExpectAckedSurvive(&env, options, dir, project, acked, unacked);
+    if (::testing::Test::HasFailure()) return;
   }
+}
+
+TEST_F(CrashRecoveryTest, TwoWritersPowerCutKeepsAckedCommits) {
+  RunTwoWritersPowerCut(dir_, /*concurrent_open=*/false);
+}
+
+TEST_F(CrashRecoveryTest, TwoWritersOpeningConcurrentlyKeepAckedCommits) {
+  RunTwoWritersPowerCut(dir_, /*concurrent_open=*/true);
+}
+
+// Eight sessions open one freshly created graph at the same instant.
+// The first opener recovers the store and the rest wait for its handle:
+// one recovery, one WAL writer. Commits from every session then survive
+// a power cut.
+TEST_F(CrashRecoveryTest, ConcurrentFirstOpensShareOneRecovery) {
+  constexpr int kThreads = 8;
+  constexpr int kCommitsPerThread = 4;
+  FaultInjectionEnv env(Env::Default());
+  ham::HamOptions options;
+  options.sync_commits = true;
+  Counter* recoveries =
+      MetricsRegistry::Instance().GetCounter("wal.recovery.count");
+
+  std::mutex mu;
+  std::vector<Acked> acked;
+  std::vector<Acked> unacked;
+  ham::ProjectId project = 0;
+  {
+    ham::Ham engine(&env, options);
+    auto created = engine.CreateGraph(dir_, 0755);
+    ASSERT_TRUE(created.ok());
+    project = created->project;
+    const uint64_t recoveries_before = recoveries->Value();
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        auto ctx = engine.OpenGraph(project, "local", dir_);
+        if (!ctx.ok()) {
+          ADD_FAILURE() << ctx.status().ToString();
+          return;
+        }
+        for (int i = 0; i < kCommitsPerThread; ++i) {
+          if (!engine.BeginTransaction(*ctx).ok()) continue;
+          auto added = engine.AddNode(*ctx, /*keep_history=*/true);
+          const std::string payload =
+              "opener-" + std::to_string(t) + "-" + std::to_string(i);
+          if (!added.ok() ||
+              !engine
+                   .ModifyNode(*ctx, added->node, added->creation_time,
+                               payload, {}, "")
+                   .ok()) {
+            engine.AbortTransaction(*ctx);
+            continue;
+          }
+          const bool ok = engine.CommitTransaction(*ctx).ok();
+          std::lock_guard<std::mutex> lock(mu);
+          (ok ? acked : unacked).push_back({added->node, payload});
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    EXPECT_EQ(recoveries->Value() - recoveries_before, 1u);
+    EXPECT_EQ(acked.size(), size_t{kThreads * kCommitsPerThread});
+    env.PowerCutNow();
+  }
+  ExpectAckedSurvive(&env, options, dir_, project, acked, unacked);
 }
 
 }  // namespace
